@@ -1,0 +1,8 @@
+"""Make ``repro`` (under src/) and the ``esdbench`` package importable for
+``python3 -m pytest esdbench``."""
+
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
